@@ -12,8 +12,8 @@
 //!   the honest floor, since distinct points cannot hit the cache;
 //! * **lane** — the same stream through the lane backend
 //!   (`Objective::eval_batch`) in chunks of the engine's
-//!   `Objective::preferred_batch` (the lane width): deferred-pen
-//!   recording per conditional, lockstep finalize per lane group;
+//!   `Objective::preferred_batch` (the lane width): value-only recording
+//!   per lane, lockstep finalize of the pending penalties per lane group;
 //! * **star** — the lane backend fed compass-probe-star-shaped batches of
 //!   4 candidates, the smallest batch the engine routes to the lanes
 //!   ([`coverme_runtime::MIN_LANE_BATCH`]) and the shape NM/compass submit
@@ -70,7 +70,8 @@ use coverme_fdlibm::by_name;
 use coverme_fpir::{compile, IrProgram};
 use coverme_runtime::simd::distance_lanes;
 use coverme_runtime::{
-    pen_code, resolve_pen_lanes_with, Cmp, ExecCtx, LaneCtx, Program, SimdIsa, DEFAULT_EPSILON,
+    eager_value, pen_code, resolve_pen_lanes_with, Cmp, ExecCtx, LaneCtx, Program, SimdIsa,
+    DEFAULT_EPSILON, LANE_WIDTH,
 };
 
 /// The benchmarked functions: the suite's most branch-dense members (the
@@ -282,7 +283,8 @@ fn measure(name: &'static str, measure_mode: bool) -> Row {
         hot_set.len() * hot_passes,
     );
 
-    // Whatever the timings, the paths must agree bit for bit.
+    // Whatever the timings, the paths must agree bit for bit with the
+    // eager `pen` fold.
     let mut check_engine = ObjectiveEngine::new(&benchmark, epsilon).with_cache(true);
     check_engine.retarget(&saturated);
     let mut lane_engine = ObjectiveEngine::new(&benchmark, epsilon).with_cache(false);
@@ -290,19 +292,18 @@ fn measure(name: &'static str, measure_mode: bool) -> Row {
     let mut lane_values = Vec::new();
     lane_engine.eval_lanes(&points[..16.min(points.len())], &mut lane_values);
     for (x, lane_value) in points.iter().zip(&lane_values) {
-        let mut ctx = ExecCtx::representing(saturated.clone())
-            .with_epsilon(epsilon)
-            .without_trace();
+        let mut ctx = ExecCtx::observe();
         benchmark.execute(x, &mut ctx);
+        let eager = eager_value(ctx.trace(), &saturated, epsilon);
         assert_eq!(
             check_engine.eval_scalar(x).to_bits(),
-            ctx.representing_value().to_bits(),
-            "engine diverged from the legacy path on {name} at {x:?}"
+            eager.to_bits(),
+            "engine diverged from the eager fold on {name} at {x:?}"
         );
         assert_eq!(
             lane_value.to_bits(),
-            ctx.representing_value().to_bits(),
-            "lane path diverged from the legacy path on {name} at {x:?}"
+            eager.to_bits(),
+            "lane path diverged from the eager fold on {name} at {x:?}"
         );
     }
 
@@ -393,9 +394,8 @@ fn measure_fpir(name: &'static str, measure_mode: bool) -> FpirRow {
         let program = load_fpir(name);
         let saturated = saturated.clone();
         move || {
-            let mut engine = ObjectiveEngine::new(program.clone(), epsilon)
-                .with_cache(false)
-                .backend_mode(mode);
+            let mut engine = ObjectiveEngine::with_backend_mode(program.clone(), epsilon, mode)
+                .with_cache(false);
             engine.retarget(&saturated);
             engine
         }
@@ -496,7 +496,7 @@ fn harvest_events(count: usize) -> EventStream {
         rhs: Vec::with_capacity(count),
     };
     let mut scratch = Vec::new();
-    for chunk in points.chunks(lane.width()) {
+    for chunk in points.chunks(LANE_WIDTH) {
         for point in chunk {
             lane.record(&benchmark, point);
         }

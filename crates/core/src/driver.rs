@@ -939,9 +939,9 @@ impl<'a, P: Program> SearchState<'a, P> {
         } else {
             config.cache
         };
-        let mut engine = ObjectiveEngine::new(program, config.epsilon)
-            .cache_mode(cache_mode)
-            .backend_mode(config.backend);
+        let mut engine =
+            ObjectiveEngine::with_backend_mode(program, config.epsilon, config.backend)
+                .cache_mode(cache_mode);
         if let Some(isa) = config.simd {
             engine = engine.simd(isa);
         }

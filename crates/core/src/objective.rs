@@ -11,7 +11,10 @@
 //!   representing-mode context, [`reset`](ExecCtx::reset) between
 //!   executions, with trace *and* coverage recording disabled (neither
 //!   affects `r`, which `pen` computes from the saturation snapshot alone).
-//!   A round boundary swaps the snapshot in place
+//!   Like every representing context it defers the penalty: each
+//!   conditional costs one pen-code gather, and the one distance that
+//!   decides `r` (the last live `pen` event's) is computed once per
+//!   evaluation. A round boundary swaps the snapshot in place
 //!   ([`ExecCtx::retarget`], one clone per round) instead of per call;
 //! * **a batch entry point** — the engine speaks the
 //!   [`Objective`] protocol of `coverme-optim`, so minimizers submit whole
@@ -43,10 +46,11 @@
 //!
 //! The slow path — [`eval_full`](ObjectiveEngine::eval_full), which the
 //! driver needs when a minimum reaches zero (Algorithm 1 line 11: record
-//! coverage, update saturation, or blame the last conditional) — still
-//! materializes everything. That is the 0-hit path: the scalar fast path
-//! never loses coverage because every accepted zero is re-executed through
-//! `eval_full` before the driver consumes it.
+//! coverage, update saturation, or blame the last conditional) — also
+//! records the covered set and the trace, through the same deferred
+//! context. That is the 0-hit path: the scalar fast path never loses
+//! coverage because every accepted zero is re-executed through `eval_full`
+//! before the driver consumes it.
 
 use coverme_optim::Objective;
 use coverme_runtime::{
@@ -249,20 +253,13 @@ pub struct ObjectiveEngine<P> {
     /// die in O(1).
     epoch: u64,
     telemetry: EngineTelemetry,
-    /// How the execution backend was selected (the [`BackendMode`] the
-    /// engine was configured with; the default is [`BackendMode::Auto`]).
-    mode: BackendMode,
     /// The execution backend every evaluation dispatches through: the
     /// generic [`InterpBackend`] ([`Program::execute`] + lane context), or
     /// whatever the program offered via [`Program::backend`] — e.g. the
     /// FPIR instruction tape. Batches of at least
     /// [`ExecBackend::min_batch`] points go through the backend's lane
-    /// path; smaller batches and scalar calls keep the eager fast path,
-    /// whose per-call overhead they already amortize.
+    /// path; smaller batches and scalar calls keep the scalar fast path.
     backend: Box<dyn ExecBackend>,
-    /// Forced SIMD ISA, re-applied whenever the backend is re-resolved;
-    /// `None` follows the process-wide [`SimdIsa::active`] selection.
-    simd_override: Option<SimdIsa>,
     /// Bookkeeping of the batch points that missed the cache and were
     /// packed into lanes: output index plus (when caching) the slot/key to
     /// seed after the finalize. Reused across batches, allocation-free in
@@ -289,35 +286,39 @@ struct LaneMiss {
     keyed: Option<(usize, CacheKey)>,
 }
 
-/// Resolves the execution backend for a program: the program's own offer
-/// for the requested mode when it makes one, the generic interpreter
-/// backend otherwise; either way configured with the engine's `ε` and
-/// pointed at the current snapshot.
-fn resolve_backend<P: Program>(
-    program: &P,
-    mode: BackendMode,
-    epsilon: f64,
-    saturated: &BranchSet,
-) -> Box<dyn ExecBackend> {
-    let mut backend = program
-        .backend(mode)
-        .unwrap_or_else(|| Box::new(InterpBackend::new()));
-    backend.set_epsilon(epsilon);
-    backend.retarget(saturated);
-    backend
-}
-
 impl<P: Program> ObjectiveEngine<P> {
     /// Creates an engine for `program` with the given branch-distance `ε`,
-    /// targeting the empty saturation snapshot (the state of round 0).
+    /// targeting the empty saturation snapshot (the state of round 0), on
+    /// the [`BackendMode::Auto`] backend.
     ///
     /// # Panics
     ///
     /// Panics if the program takes no inputs.
     pub fn new(program: P, epsilon: f64) -> Self {
+        Self::with_backend_mode(program, epsilon, BackendMode::Auto)
+    }
+
+    /// Like [`new`](Self::new), on the execution backend `mode` selects
+    /// (see [`BackendMode`]). Every mode produces bit-identical values,
+    /// coverage and telemetry — the backend is a throughput seam, never a
+    /// semantic one — so this only trades interpretation overhead against
+    /// the program's compiled form, when it has one. The backend is
+    /// resolved once per engine: for an FPIR program, one lowering to its
+    /// tape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program takes no inputs.
+    pub fn with_backend_mode(program: P, epsilon: f64, mode: BackendMode) -> Self {
         let arity = program.arity();
         assert!(arity > 0, "program under test must take at least one input");
-        let backend = resolve_backend(&program, BackendMode::Auto, epsilon, &BranchSet::new());
+        // The program's own backend for `mode` when it offers one, the
+        // generic interpreter backend otherwise.
+        let mut backend = program
+            .backend(mode)
+            .unwrap_or_else(|| Box::new(InterpBackend::new()));
+        backend.set_epsilon(epsilon);
+        backend.retarget(&BranchSet::new());
         let engine = ObjectiveEngine {
             program,
             epsilon,
@@ -329,9 +330,7 @@ impl<P: Program> ObjectiveEngine<P> {
             cache_slots: DEFAULT_CACHE_SLOTS,
             epoch: 1,
             telemetry: EngineTelemetry::default(),
-            mode: BackendMode::Auto,
             backend,
-            simd_override: None,
             lane_misses: Vec::new(),
             miss_indices: Vec::new(),
             lane_evals: Vec::new(),
@@ -339,32 +338,15 @@ impl<P: Program> ObjectiveEngine<P> {
         engine.cache_mode(CacheMode::Auto)
     }
 
-    /// Selects the execution backend (see [`BackendMode`]; the default is
-    /// [`BackendMode::Auto`]). Every mode produces bit-identical values,
-    /// coverage and telemetry — the backend is a throughput seam, never a
-    /// semantic one — so this only trades interpretation overhead against
-    /// the program's compiled form, when it has one.
-    pub fn backend_mode(mut self, mode: BackendMode) -> Self {
-        self.mode = mode;
-        self.backend = resolve_backend(&self.program, mode, self.epsilon, self.ctx.saturated());
-        if let Some(isa) = self.simd_override {
-            self.backend.set_simd(isa);
-        }
-        self
-    }
-
     /// Forces the SIMD ISA of the backend's lane kernels (the
     /// `--simd`/`COVERME_SIMD` knob, resolved per engine). Bit-exact under
-    /// every ISA — purely a throughput knob, like
-    /// [`backend_mode`](Self::backend_mode) — and sticky across later
-    /// backend re-resolution.
+    /// every ISA — purely a throughput knob, like the backend mode.
     ///
     /// # Panics
     ///
     /// Panics if this machine cannot execute `isa` (CLI front ends
     /// validate with [`SimdIsa::is_supported`] first).
     pub fn simd(mut self, isa: SimdIsa) -> Self {
-        self.simd_override = Some(isa);
         self.backend.set_simd(isa);
         self
     }
@@ -508,12 +490,11 @@ impl<P: Program> ObjectiveEngine<P> {
     /// points are probed against the memo cache first, the misses are
     /// packed into [`ExecBackend::lane_width`]-wide groups, and every full
     /// group runs through [`ExecBackend::run_lanes`] (for the interpreter
-    /// backend: one deferred-penalty execution per lane — a pen-code gather
-    /// per conditional instead of a distance computation — plus one
-    /// lockstep finalize; for the tape backend: all lanes through the
-    /// compiled tape). Values land at their input positions in `values`
-    /// (appended, not cleared), bit-for-bit equal to sequential
-    /// [`eval_scalar`](Self::eval_scalar) answers.
+    /// backend: one value-only execution per lane plus one lockstep
+    /// finalize of the lanes' pending penalties; for the tape backend: all
+    /// lanes through the compiled tape). Values land at their input
+    /// positions in `values` (appended, not cleared), bit-for-bit equal to
+    /// sequential [`eval_scalar`](Self::eval_scalar) answers.
     ///
     /// One observable difference from the scalar *loop* exists in the
     /// telemetry only: a point duplicated within one lane group is

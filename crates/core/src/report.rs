@@ -130,8 +130,8 @@ pub struct TestReport {
     /// (see [`coverme_runtime::SimdIsa::label`]) — `"portable"`, `"sse2"`
     /// or `"avx2"`; bit-exact either way, recorded for telemetry.
     pub simd_isa: &'static str,
-    /// The backend's SIMD lane width (batch evaluations are packed into
-    /// groups of this size). An ISA property: 16 under AVX2, 8 otherwise.
+    /// The backend's lane width (batch evaluations are packed into groups
+    /// of this size): 8 on every SIMD ISA.
     pub lane_width: usize,
     /// Wall-clock time of the run.
     pub wall_time: Duration,

@@ -13,7 +13,15 @@
 //! * the memoization cache composes with lanes: a batch evaluated after
 //!   some of its points are already cached (partial hits, any interleaving)
 //!   returns the same values and serves the cached points without
-//!   re-executing.
+//!   re-executing;
+//! * every evaluation path defers the penalty, and every one of them —
+//!   `eval_scalar`, `eval_full` and the lanes — equals the eager `pen` fold
+//!   of Algorithm 1 ([`eager_value`]) bit for bit, on generated programs,
+//!   Fdlibm functions and generated FPIR; `eval_full` also records exactly
+//!   the covered set and trace of an observe-mode run;
+//! * the ISA is invisible to a search: campaigns report identical
+//!   evaluation and cache-hit counts under every supported ISA, because
+//!   every ISA packs the same lane width.
 //!
 //! Programs are generated from the same straight-line family the shard and
 //! objective property suites use, extended with special-value injection so
@@ -25,9 +33,13 @@
 
 use proptest::prelude::*;
 
-use coverme::objective::ObjectiveEngine;
-use coverme::{BranchId, BranchSet, Cmp, ExecCtx, FnProgram, Objective, RepresentingFunction};
-use coverme_runtime::{LaneCtx, SimdIsa, DEFAULT_EPSILON, LANE_WIDTH};
+use coverme::objective::{ObjectiveEngine, ABORTED_VALUE};
+use coverme::{
+    BackendMode, BranchId, BranchSet, Cmp, CoverMe, CoverMeConfig, ExecCtx, FnProgram, Objective,
+    Program, RepresentingFunction,
+};
+use coverme_fpir::{compile, generate_source, IrProgram, ENTRY_NAME};
+use coverme_runtime::{eager_value, LaneCtx, SimdIsa, Trace, DEFAULT_EPSILON, LANE_WIDTH};
 
 /// Specification of one conditional site of a generated program.
 #[derive(Debug, Clone)]
@@ -132,6 +144,127 @@ fn snapshot_from_mask(num_sites: usize, mask: u64) -> BranchSet {
         }
     }
     snapshot
+}
+
+/// Operands for the eager-oracle properties: finite values plus ±0, the
+/// smallest and a mid-range subnormal, `DBL_MIN`, ±inf, NaN and a huge
+/// value (roughly even odds of a special per draw).
+fn ieee_operand_strategy() -> impl Strategy<Value = f64> {
+    (0..20u8, -50.0..50.0f64).prop_map(|(kind, finite)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 5e-324,
+        3 => -1e-310,
+        4 => f64::MIN_POSITIVE,
+        5 => f64::INFINITY,
+        6 => f64::NEG_INFINITY,
+        7 => f64::NAN,
+        8 => 1e300,
+        9 => -1.0,
+        _ => finite,
+    })
+}
+
+/// One point per operand, of the program's arity, cycling through the
+/// drawn operands so every arity gets the same number of points.
+fn points_of_arity(operands: &[f64], arity: usize) -> Vec<Vec<f64>> {
+    (0..operands.len())
+        .map(|k| {
+            (0..arity)
+                .map(|j| operands[(k * arity + j) % operands.len()])
+                .collect()
+        })
+        .collect()
+}
+
+/// A random saturation snapshot over `num_sites` conditionals, seeded:
+/// each branch saturated with probability 3/8, so about one site in seven
+/// is fully saturated (`pen` keeps `r` there).
+fn random_snapshot(num_sites: usize, seed: u64) -> BranchSet {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % 8 < 3
+    };
+    let mut snapshot = BranchSet::with_sites(num_sites);
+    for site in 0..num_sites as u32 {
+        if next() {
+            snapshot.insert(BranchId::true_of(site));
+        }
+        if next() {
+            snapshot.insert(BranchId::false_of(site));
+        }
+    }
+    snapshot
+}
+
+/// Compares two traces bit for bit (`TakenBranch`'s derived equality
+/// treats NaN operands as unequal).
+fn assert_traces_identical(actual: &Trace, expected: &Trace, context: &str) {
+    assert_eq!(actual.len(), expected.len(), "{context}: trace length");
+    for (k, (a, e)) in actual.iter().zip(expected).enumerate() {
+        assert_eq!(
+            (a.site, a.direction, a.op, a.lhs.to_bits(), a.rhs.to_bits()),
+            (e.site, e.direction, e.op, e.lhs.to_bits(), e.rhs.to_bits()),
+            "{context}: trace event {k}"
+        );
+    }
+}
+
+/// The oracle property: against `snapshot`, the engine's scalar, full and
+/// lane values equal the eager `pen` fold over an observe-mode run of the
+/// same point (the abort sentinel for runs that did not finish), and
+/// `eval_full` records that run's covered set, trace and outcome.
+fn assert_every_path_matches_the_eager_fold<P: Program>(
+    program: &P,
+    snapshot: &BranchSet,
+    points: &[Vec<f64>],
+) {
+    let mut engine = ObjectiveEngine::new(program, DEFAULT_EPSILON).with_cache(false);
+    engine.retarget(snapshot);
+    let mut lane_values = Vec::new();
+    engine.eval_lanes(points, &mut lane_values);
+    assert_eq!(lane_values.len(), points.len());
+    for (point, lane_value) in points.iter().zip(&lane_values) {
+        let context = format!("{} at {point:?} against {snapshot:?}", program.name());
+        let mut observed = ExecCtx::observe();
+        program.execute(point, &mut observed);
+        let expected = if observed.run_outcome().is_done() {
+            eager_value(observed.trace(), snapshot, DEFAULT_EPSILON)
+        } else {
+            ABORTED_VALUE
+        };
+        let scalar = engine.eval_scalar(point);
+        let full = engine.eval_full(point);
+        assert_eq!(
+            scalar.to_bits(),
+            expected.to_bits(),
+            "{context}: eval_scalar"
+        );
+        assert_eq!(
+            full.value.to_bits(),
+            expected.to_bits(),
+            "{context}: eval_full"
+        );
+        assert_eq!(lane_value.to_bits(), expected.to_bits(), "{context}: lanes");
+        assert_eq!(full.outcome, observed.run_outcome(), "{context}: outcome");
+        assert_eq!(&full.covered, observed.covered(), "{context}: covered set");
+        assert_traces_identical(&full.trace, observed.trace(), &context);
+    }
+}
+
+/// Fuel per FPIR evaluation: enough for the generator's terminating loops,
+/// small enough that its timeout hazards abort quickly.
+const FPIR_FUEL: usize = 20_000;
+
+fn compile_generated(seed: u64) -> IrProgram {
+    let source = generate_source(seed);
+    compile(&source, ENTRY_NAME)
+        .unwrap_or_else(|e| panic!("generator seed {seed} failed to compile: {e}"))
+        .with_fuel(FPIR_FUEL)
 }
 
 proptest! {
@@ -397,16 +530,59 @@ proptest! {
             points.len() as u64 - batch_hits
         );
     }
+
+    /// Deferred vs eager on the generated straight-line family: every
+    /// evaluation path equals the eager `pen` fold, and `eval_full` equals
+    /// an observe-mode run.
+    #[test]
+    fn every_path_matches_the_eager_fold_on_generated_programs(
+        specs in program_strategy(),
+        snapshot_seed in 0..u64::MAX,
+        operands in prop::collection::vec(ieee_operand_strategy(), 1..24),
+    ) {
+        let num_sites = specs.len();
+        let program = build_program(specs);
+        let snapshot = random_snapshot(num_sites, snapshot_seed);
+        assert_every_path_matches_the_eager_fold(&program, &snapshot, &points_of_arity(&operands, 1));
+    }
+
+    /// Deferred vs eager on the Fdlibm suite.
+    #[test]
+    fn every_path_matches_the_eager_fold_on_fdlibm(
+        function in 0..64usize,
+        snapshot_seed in 0..u64::MAX,
+        operands in prop::collection::vec(ieee_operand_strategy(), 1..24),
+    ) {
+        let suite = coverme_fdlibm::suite::all();
+        let benchmark = &suite[function % suite.len()];
+        let snapshot = random_snapshot(benchmark.num_sites(), snapshot_seed);
+        let points = points_of_arity(&operands, benchmark.arity());
+        assert_every_path_matches_the_eager_fold(benchmark, &snapshot, &points);
+    }
+
+    /// Deferred vs eager on generated FPIR, through the engine's default
+    /// (tape) backend — timeouts and traps included.
+    #[test]
+    fn every_path_matches_the_eager_fold_on_generated_fpir(
+        seed in 0..500u64,
+        snapshot_seed in 0..u64::MAX,
+        operands in prop::collection::vec(ieee_operand_strategy(), 1..24),
+    ) {
+        let program = compile_generated(seed);
+        let snapshot = random_snapshot(program.num_sites(), snapshot_seed);
+        let points = points_of_arity(&operands, program.arity());
+        assert_every_path_matches_the_eager_fold(&program, &snapshot, &points);
+    }
 }
 
 /// A deterministic end-to-end cross-check on a real Fdlibm benchmark: the
-/// lane path, the scalar path, and the pre-engine legacy path agree on
-/// `ieee754_pow` (the suite's most branch-dense function) against a
-/// half-saturated snapshot, on a grid that includes special values.
+/// lane path and the eager `pen` fold agree on `ieee754_pow` (the suite's
+/// most branch-dense function) against a half-saturated snapshot, on a
+/// grid that includes special values.
 #[test]
 fn lane_path_matches_legacy_on_pow() {
     let benchmark = coverme_fdlibm::by_name("pow").expect("pow is in the suite");
-    let num_sites = coverme_runtime::Program::num_sites(&benchmark);
+    let num_sites = benchmark.num_sites();
     let mut saturated = BranchSet::with_sites(num_sites);
     for site in (0..num_sites).step_by(2) {
         saturated.insert(BranchId::true_of(site as u32));
@@ -433,16 +609,59 @@ fn lane_path_matches_legacy_on_pow() {
     let mut values = Vec::new();
     engine.eval_lanes(&grid, &mut values);
     for (point, value) in grid.iter().zip(&values) {
-        let mut ctx = ExecCtx::representing(saturated.clone());
-        coverme_runtime::Program::execute(&benchmark, point, &mut ctx);
+        let mut ctx = ExecCtx::observe();
+        benchmark.execute(point, &mut ctx);
         assert_eq!(
             value.to_bits(),
-            ctx.representing_value().to_bits(),
-            "lane diverged from legacy on pow at {point:?}"
+            eager_value(ctx.trace(), &saturated, DEFAULT_EPSILON).to_bits(),
+            "lane diverged from the eager fold on pow at {point:?}"
         );
     }
     // Partial last lane groups (the grid is not a LANE_WIDTH multiple)
     // still produce one value per point.
     assert!(!grid.len().is_multiple_of(LANE_WIDTH));
     assert_eq!(values.len(), grid.len());
+}
+
+/// Evaluation and cache-hit counts of one single-function search pinned to
+/// `isa`.
+fn search_counts<P: Program>(program: &P, config: &CoverMeConfig, isa: SimdIsa) -> (usize, usize) {
+    let report = CoverMe::new(config.clone().simd(isa)).run(program);
+    assert_eq!(report.lane_width, LANE_WIDTH, "{isa}");
+    (report.evaluations, report.cache_hits)
+}
+
+/// The ISA is invisible to whole searches, not only to values: a `pow`
+/// campaign (interpreter lanes, memoized) and a tape-backed FPIR campaign
+/// report the same evaluations **and** cache hits under every supported
+/// ISA. Lane width decides which duplicate points of a batch share one
+/// lane group and so miss the cache; one width on every ISA keeps that
+/// identical.
+#[test]
+fn searches_report_identical_telemetry_under_every_isa() {
+    let pow = coverme_fdlibm::by_name("pow").expect("pow is in the suite");
+    let pow_config = CoverMeConfig::new().n_start(40).seed(9);
+    let fpir = compile_generated(11);
+    let fpir_config = CoverMeConfig::new()
+        .n_start(40)
+        .seed(9)
+        .backend(BackendMode::Tape);
+    let pow_reference = search_counts(&pow, &pow_config, SimdIsa::Portable);
+    let fpir_reference = search_counts(&fpir, &fpir_config, SimdIsa::Portable);
+    assert!(
+        pow_reference.1 > 0,
+        "the pow search must exercise the cache"
+    );
+    for isa in SimdIsa::supported() {
+        assert_eq!(
+            search_counts(&pow, &pow_config, isa),
+            pow_reference,
+            "pow under {isa}"
+        );
+        assert_eq!(
+            search_counts(&fpir, &fpir_config, isa),
+            fpir_reference,
+            "generated FPIR under {isa}"
+        );
+    }
 }

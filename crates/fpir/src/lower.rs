@@ -9,9 +9,9 @@
 //! sites, calls, returns, traps). Two executors run the tape:
 //!
 //! * [`Tape::execute`] — the scalar path, driving any [`ExecCtx`] mode
-//!   (observe, eager representing, deferred) exactly like the interpreter;
+//!   (observe, representing) exactly like the interpreter;
 //! * the lane executor inside [`TapeBackend`] — runs up to
-//!   [`SimdIsa::lane_width`] evaluations with per-lane program counters,
+//!   [`LANE_WIDTH`] evaluations with per-lane program counters,
 //!   executing each basic block's ops in lockstep across the lanes
 //!   currently parked on it, gathering deferred-penalty events from a
 //!   shared [`pen_code_table`] and finalizing through the vectorized
@@ -1775,8 +1775,6 @@ pub struct TapeBackend {
     epsilon: f64,
     /// The SIMD ISA the block kernels and the finalize dispatch to.
     isa: SimdIsa,
-    /// Effective lane count per chunk (`isa.lane_width()`, cached).
-    width: usize,
     pen_codes: Vec<u8>,
     vms: Vec<LaneVm>,
     /// Lane buffer for the straight-line-SoA block kernels.
@@ -1793,12 +1791,10 @@ impl TapeBackend {
     /// Wraps a lowered tape with default (unset) tuning; the objective
     /// engine injects `ε` and the saturation snapshot on installation.
     pub fn new(tape: Tape) -> TapeBackend {
-        let isa = SimdIsa::active();
         TapeBackend {
             tape: Arc::new(tape),
             epsilon: coverme_runtime::DEFAULT_EPSILON,
-            isa,
-            width: isa.lane_width(),
+            isa: SimdIsa::active(),
             pen_codes: Vec::new(),
             vms: Vec::new(),
             soa_scratch: SoaScratch::default(),
@@ -1828,7 +1824,6 @@ impl ExecBackend for TapeBackend {
     fn set_simd(&mut self, isa: SimdIsa) {
         assert!(isa.is_supported(), "SIMD ISA {isa} unsupported here");
         self.isa = isa;
-        self.width = isa.lane_width();
     }
 
     fn set_epsilon(&mut self, epsilon: f64) {
@@ -1851,10 +1846,10 @@ impl ExecBackend for TapeBackend {
         out: &mut Vec<LaneEval>,
     ) {
         out.reserve(indices.len());
-        if self.vms.len() < self.width {
-            self.vms.resize_with(self.width, LaneVm::new);
+        if self.vms.len() < LANE_WIDTH {
+            self.vms.resize_with(LANE_WIDTH, LaneVm::new);
         }
-        for chunk in indices.chunks(self.width) {
+        for chunk in indices.chunks(LANE_WIDTH) {
             let lanes = chunk.len();
             let tape = Arc::clone(&self.tape);
             for (vm, &index) in self.vms[..lanes].iter_mut().zip(chunk) {
@@ -1920,7 +1915,7 @@ pub(crate) fn program_backend(
 mod tests {
     use super::*;
     use crate::compile;
-    use coverme_runtime::{BranchId, InterpBackend, DEFAULT_EPSILON};
+    use coverme_runtime::{eager_value, BranchId, InterpBackend, DEFAULT_EPSILON};
 
     /// Runs `program` both ways on `input` in observe mode and asserts the
     /// full observable state matches: coverage, trace, outcome.
@@ -2093,8 +2088,7 @@ mod tests {
         assert_eq!(auto.name(), "tape");
         let forced = p.backend(BackendMode::Tape).expect("tape available");
         assert_eq!(forced.name(), "tape");
-        assert_eq!(forced.lane_width(), forced.simd_isa().lane_width());
-        assert!(forced.lane_width() <= LANE_WIDTH);
+        assert_eq!(forced.lane_width(), LANE_WIDTH);
     }
 
     #[test]
@@ -2217,13 +2211,13 @@ mod tests {
             }
         }
         let indices: Vec<usize> = (0..points.len()).collect();
-        // Reference: the eager scalar path, one eval per point.
+        // Reference: the eager `pen` fold over the interpreter's trace.
         let reference: Vec<u64> = points
             .iter()
             .map(|point| {
-                let mut ctx = ExecCtx::representing(saturated.clone());
+                let mut ctx = ExecCtx::observe();
                 p.execute(point, &mut ctx);
-                ctx.representing_value().to_bits()
+                eager_value(ctx.trace(), &saturated, DEFAULT_EPSILON).to_bits()
             })
             .collect();
         for isa in SimdIsa::supported() {
@@ -2232,7 +2226,7 @@ mod tests {
             backend.set_epsilon(DEFAULT_EPSILON);
             backend.retarget(&saturated);
             assert_eq!(backend.simd_isa(), isa);
-            assert_eq!(backend.lane_width(), isa.lane_width());
+            assert_eq!(backend.lane_width(), LANE_WIDTH);
             let mut evals = Vec::new();
             backend.run_lanes(&p, &points, &indices, &mut evals);
             assert_eq!(evals.len(), points.len());
@@ -2241,7 +2235,7 @@ mod tests {
                 assert_eq!(
                     eval.value.to_bits(),
                     expect,
-                    "{isa} diverged from eager scalar on {point:?}"
+                    "{isa} diverged from the eager fold on {point:?}"
                 );
             }
         }

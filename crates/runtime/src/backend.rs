@@ -20,13 +20,13 @@
 //!
 //! Whatever the backend, the contract is **bit-exactness**: values,
 //! coverage, traces, [`RunOutcome`] classification and cache visibility
-//! must be indistinguishable from [`Program::execute`] under an eager
-//! [`ExecCtx`]. The backend seam is a throughput knob, never a semantic
+//! must be indistinguishable from [`Program::execute`] under a
+//! representing [`ExecCtx`]. The backend seam is a throughput knob, never a semantic
 //! one.
 
 use crate::branch::BranchSet;
 use crate::context::{ExecCtx, RunOutcome};
-use crate::lane::{LaneCtx, MIN_LANE_BATCH};
+use crate::lane::{LaneCtx, LANE_WIDTH, MIN_LANE_BATCH};
 use crate::program::Program;
 use crate::simd::SimdIsa;
 
@@ -92,10 +92,10 @@ pub trait ExecBackend: std::fmt::Debug + Send {
     /// Stable backend name recorded in reports and bench artifacts.
     fn name(&self) -> &'static str;
 
-    /// Number of evaluations the batched path processes in lockstep — a
-    /// property of the backend's SIMD ISA ([`SimdIsa::lane_width`]).
+    /// Number of evaluations the batched path processes in lockstep
+    /// ([`LANE_WIDTH`] on every ISA).
     fn lane_width(&self) -> usize {
-        self.simd_isa().lane_width()
+        LANE_WIDTH
     }
 
     /// The SIMD ISA the backend's lane finalize dispatches to. Recorded in
@@ -127,7 +127,7 @@ pub trait ExecBackend: std::fmt::Debug + Send {
     fn retarget(&mut self, saturated: &BranchSet);
 
     /// Executes `program` on `input` against `ctx` — the scalar/full path.
-    /// `ctx` may be in any mode (eager representing, observe, …); the
+    /// `ctx` may be in any mode (representing, observe, …); the
     /// backend must report branches through it exactly as
     /// [`Program::execute`] would.
     fn run(&mut self, program: &dyn Program, input: &[f64], ctx: &mut ExecCtx);
@@ -217,7 +217,7 @@ impl ExecBackend for InterpBackend {
         out: &mut Vec<LaneEval>,
     ) {
         out.reserve(indices.len());
-        for chunk in indices.chunks(self.lane.width()) {
+        for chunk in indices.chunks(LANE_WIDTH) {
             self.outcomes.clear();
             for &index in chunk {
                 let outcome = self.lane.record(program, &points[index]);
@@ -242,6 +242,7 @@ mod tests {
     use super::*;
     use crate::branch::BranchId;
     use crate::distance::{Cmp, DEFAULT_EPSILON};
+    use crate::pen::eager_value;
     use crate::program::FnProgram;
 
     fn paper_example() -> FnProgram<impl Fn(&[f64], &mut ExecCtx)> {
@@ -275,7 +276,7 @@ mod tests {
         backend.set_epsilon(DEFAULT_EPSILON);
         backend.retarget(&saturated);
         assert_eq!(backend.name(), "interp");
-        assert_eq!(backend.lane_width(), backend.simd_isa().lane_width());
+        assert_eq!(backend.lane_width(), LANE_WIDTH);
         assert_eq!(backend.min_batch(), MIN_LANE_BATCH);
 
         let points: Vec<Vec<f64>> = (0..19).map(|i| vec![i as f64 * 0.61 - 7.0]).collect();
@@ -284,9 +285,10 @@ mod tests {
         backend.run_lanes(&paper_example(), &points, &indices, &mut evals);
         assert_eq!(evals.len(), points.len());
         for (point, eval) in points.iter().zip(&evals) {
-            let mut eager = ExecCtx::representing(saturated.clone());
-            program.execute(point, &mut eager);
-            assert_eq!(eval.value.to_bits(), eager.representing_value().to_bits());
+            let mut observe = ExecCtx::observe();
+            program.execute(point, &mut observe);
+            let eager = eager_value(observe.trace(), &saturated, DEFAULT_EPSILON);
+            assert_eq!(eval.value.to_bits(), eager.to_bits());
             assert_eq!(eval.outcome, RunOutcome::Done);
         }
     }

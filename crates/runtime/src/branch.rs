@@ -201,12 +201,14 @@ impl BranchSet {
     /// Iterates over the branches in the set in index order.
     pub fn iter(&self) -> impl Iterator<Item = BranchId> + '_ {
         self.bits.iter().enumerate().flat_map(|(word_idx, &word)| {
-            (0..64).filter_map(move |bit| {
-                if word & (1u64 << bit) != 0 {
-                    Some(BranchId::from_index(word_idx * 64 + bit))
-                } else {
-                    None
-                }
+            // Visit only the set bits, lowest first.
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    BranchId::from_index(word_idx * 64 + bit)
+                })
             })
         })
     }

@@ -5,25 +5,40 @@
 //! instrumented program calls [`ExecCtx::branch`] (or one of the integer
 //! promotion helpers), which:
 //!
-//! 1. evaluates the comparison and records the taken branch,
-//! 2. in [`ExecMode::Representing`] mode, updates `r` with
-//!    `pen(l_i, op, a, b)` exactly as the injected assignment
-//!    `r = pen(...)` would, and
+//! 1. evaluates the comparison and records the taken branch (when the
+//!    context records coverage or the trace),
+//! 2. in [`ExecMode::Representing`] mode, stands in for the injected
+//!    assignment `r = pen(l_i, op, a, b)` by remembering the event as the
+//!    *pending* penalty unless the site is fully saturated, and
 //! 3. returns the comparison outcome so the program can branch on it.
 //!
 //! The representing function `FOO_R(x)` of the paper is then: create a
-//! representing-mode context (which initializes `r = 1`), execute the
+//! representing-mode context (which stands for `r = 1`), execute the
 //! program on `x`, and read [`ExecCtx::representing_value`].
+//!
+//! # Deferred penalty
+//!
+//! `pen` (Definition 4.2) either *overwrites* `r` with a value that does
+//! not depend on the previous `r` (cases (a) and (b)) or keeps `r`
+//! unchanged (case (c), both sides saturated). So the final `r` is fixed
+//! by the **last** event at a site that is not fully saturated, and every
+//! earlier distance is dead work. A representing-mode context therefore
+//! does one gather into a per-site pen-code table per conditional plus an
+//! overwrite of the pending-event slot, and computes the one surviving
+//! [`distance`] when the value is read. The value is bit-for-bit what the
+//! eager fold `r = pen(...)` at every conditional produces: the same
+//! `distance` call on the same operands with the same `ε`. The eager fold
+//! survives only as the test oracle ([`crate::pen::eager_value`]).
 
 use crate::branch::{BranchId, BranchSet, Direction, SiteId};
 use crate::distance::{distance, Cmp, DEFAULT_EPSILON};
-use crate::pen::{pen, SiteSaturation};
+use crate::lane::pen_code_table;
 use crate::trace::{TakenBranch, Trace};
 
-/// Per-site `pen` dispatch codes of the deferred-penalty (lane) execution
-/// mode. The saturation snapshot is indexed into one `u8` per site, so the
-/// per-branch work of a deferred execution is a single gather into this
-/// table plus a branch-free overwrite of the pending-event slot.
+/// Per-site `pen` dispatch codes of the deferred penalty. The saturation
+/// snapshot is indexed into one `u8` per site, so the per-branch work of a
+/// representing execution is a single gather into this table plus an
+/// overwrite of the pending-event slot.
 ///
 /// Public so out-of-crate lane executors (the FPIR tape backend) can speak
 /// the same deferred protocol: gather the site's code from a table built by
@@ -52,9 +67,7 @@ pub mod pen_code {
 /// site was not fully saturated. Because `pen` either *overwrites* `r` with
 /// a value that does not depend on the previous `r` (cases (a)/(b) of
 /// Definition 4.2) or keeps it unchanged (case (c)), the final value of `r`
-/// is a function of this one event alone — which is what lets the lane
-/// backend skip the distance computation at every conditional and finalize
-/// once per execution.
+/// is a function of this one event alone (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PendingPen {
     /// One of the [`pen_code`] constants ([`pen_code::KEEP`] excluded).
@@ -148,39 +161,25 @@ pub enum ExecMode {
 pub struct ExecCtx {
     mode: ExecMode,
     epsilon: f64,
-    /// The injected global `r`. Initialized to 1 in representing mode
-    /// (Algorithm 1, line 5).
-    r: f64,
     /// Snapshot of the saturated branches (empty in observe mode).
     saturated: BranchSet,
+    /// Per-site [`pen_code`] table of the snapshot, indexed by `SiteId`
+    /// (empty in observe mode). Rebuilt whenever the snapshot changes;
+    /// sites past the end are unsaturated ([`pen_code::OPEN`]).
+    pen_codes: Vec<u8>,
+    /// Last live branch event of the current representing execution: the
+    /// deferred `r`.
+    pending: PendingPen,
     /// Branches covered by this execution.
     covered: BranchSet,
     /// Ordered decisions taken by this execution.
     trace: Trace,
     /// Whether the trace is recorded.
     record_trace: bool,
-    /// Whether the covered set is recorded. Disabled by the scalar fast
-    /// path of the objective engine, which only needs `r`.
+    /// Whether the covered set is recorded. Disabled by value-only
+    /// evaluations (the objective engine's scalar path, the lane backend),
+    /// which only need `r`.
     record_coverage: bool,
-    /// Per-site saturation lookup table, indexed by `SiteId`. Built by
-    /// [`retarget`](Self::retarget) — i.e. by contexts that live across
-    /// many executions, such as the objective engine's — so each `branch`
-    /// call replaces two bitset probes with one indexed load. Empty (and
-    /// unused) on per-execution contexts, whose construction must stay
-    /// allocation-light. Sites past the end of the table are unsaturated.
-    site_saturation: Vec<SiteSaturation>,
-    /// Whether this context runs in the deferred-penalty mode of the lane
-    /// backend: `branch` records only the last live event (one gather into
-    /// [`pen_codes`](Self::pen_codes) plus a pending-slot overwrite) and the
-    /// distance is computed once at the end instead of at every
-    /// conditional. See [`deferred_pen`](Self::deferred_pen).
-    defer_pen: bool,
-    /// Per-site [`pen_code`] table of the deferred mode, rebuilt whenever
-    /// the snapshot changes. Sites past the end are unsaturated
-    /// ([`pen_code::OPEN`]).
-    pen_codes: Vec<u8>,
-    /// Last live branch event of the current deferred execution.
-    pending: PendingPen,
     /// How the current execution ended. [`RunOutcome::Done`] unless the
     /// executor marked the run aborted; reset to `Done` by
     /// [`reset`](Self::reset).
@@ -188,23 +187,28 @@ pub struct ExecCtx {
 }
 
 impl ExecCtx {
-    /// Creates a context that only observes coverage and the trace.
-    pub fn observe() -> ExecCtx {
+    fn with_mode(mode: ExecMode, saturated: BranchSet) -> ExecCtx {
+        let pen_codes = match mode {
+            ExecMode::Observe => Vec::new(),
+            ExecMode::Representing => pen_code_table(&saturated),
+        };
         ExecCtx {
-            mode: ExecMode::Observe,
+            mode,
             epsilon: DEFAULT_EPSILON,
-            r: 1.0,
-            saturated: BranchSet::new(),
+            saturated,
+            pen_codes,
+            pending: PendingPen::IDLE,
             covered: BranchSet::new(),
             trace: Trace::new(),
             record_trace: true,
             record_coverage: true,
-            site_saturation: Vec::new(),
-            defer_pen: false,
-            pen_codes: Vec::new(),
-            pending: PendingPen::IDLE,
             outcome: RunOutcome::Done,
         }
+    }
+
+    /// Creates a context that only observes coverage and the trace.
+    pub fn observe() -> ExecCtx {
+        ExecCtx::with_mode(ExecMode::Observe, BranchSet::new())
     }
 
     /// Creates a representing-function context against a saturation
@@ -212,53 +216,7 @@ impl ExecCtx {
     /// `FOO_R(x) > 0` once every branch is saturated (condition C1/C2 of the
     /// paper's Sect. 3.2).
     pub fn representing(saturated: BranchSet) -> ExecCtx {
-        ExecCtx {
-            mode: ExecMode::Representing,
-            epsilon: DEFAULT_EPSILON,
-            r: 1.0,
-            saturated,
-            covered: BranchSet::new(),
-            trace: Trace::new(),
-            record_trace: true,
-            record_coverage: true,
-            site_saturation: Vec::new(),
-            defer_pen: false,
-            pen_codes: Vec::new(),
-            pending: PendingPen::IDLE,
-            outcome: RunOutcome::Done,
-        }
-    }
-
-    /// Switches a representing-mode context into the deferred-penalty mode
-    /// used by the lane backend ([`crate::LaneCtx`]). In this mode `branch`
-    /// does the least possible work — one gather into the per-site pen-code
-    /// table and a branch-free overwrite of the pending-event slot — and
-    /// the single distance that determines `r` is computed once per
-    /// execution ([`deferred_value`](Self::deferred_value)) instead of at
-    /// every conditional. Implies [`without_trace`](Self::without_trace)
-    /// and [`without_coverage`](Self::without_coverage): a deferred context
-    /// serves value-only evaluations.
-    ///
-    /// The value is bit-for-bit the one an ordinary representing execution
-    /// computes, because `pen` (Definition 4.2) either overwrites `r` with
-    /// a value independent of the previous `r` or keeps `r` unchanged —
-    /// so only the last event at a not-fully-saturated site matters, and
-    /// its distance is computed by the same [`distance`] call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the context is not in representing mode.
-    pub fn deferred_pen(mut self) -> ExecCtx {
-        assert_eq!(
-            self.mode,
-            ExecMode::Representing,
-            "deferred pen requires a representing-mode context"
-        );
-        self.defer_pen = true;
-        self.record_trace = false;
-        self.record_coverage = false;
-        self.rebuild_pen_codes();
-        self
+        ExecCtx::with_mode(ExecMode::Representing, saturated)
     }
 
     /// Overrides the `ε` used by the branch distances.
@@ -279,11 +237,12 @@ impl ExecCtx {
         self
     }
 
-    /// Disables covered-set recording as well. This is the objective
-    /// engine's scalar fast path: an evaluation that only needs `FOO_R(x)`
-    /// pays for neither the trace nor the per-branch coverage inserts —
-    /// `r` is unaffected, because `pen` reads only the saturation snapshot.
-    /// [`covered`](Self::covered) stays empty on such a context.
+    /// Disables covered-set recording as well. This is the value-only path
+    /// of the objective engine and the lane backend: an evaluation that only
+    /// needs `FOO_R(x)` pays for neither the trace nor the per-branch
+    /// coverage inserts — `r` is unaffected, because `pen` reads only the
+    /// saturation snapshot. [`covered`](Self::covered) stays empty on such a
+    /// context.
     pub fn without_coverage(mut self) -> ExecCtx {
         self.record_coverage = false;
         self
@@ -303,15 +262,14 @@ impl ExecCtx {
     ///
     /// Returns the concrete outcome of the comparison so the caller can
     /// branch on it, after recording coverage and (in representing mode)
-    /// performing the injected `r = pen(site, op, a, b)` assignment.
+    /// standing in for the injected `r = pen(site, op, a, b)` assignment:
+    /// one gather into the pen-code table, and an overwrite of the pending
+    /// event unless both sides of the site are saturated. The distance
+    /// itself is deferred to [`representing_value`](Self::representing_value),
+    /// because later live events overwrite it anyway.
     #[inline]
     pub fn branch(&mut self, site: SiteId, op: Cmp, a: f64, b: f64) -> bool {
-        if self.defer_pen {
-            // Lane fast path: the only per-branch work is a gather into the
-            // pen-code table and (for sites that can still influence `r`)
-            // an overwrite of the pending-event slot. The distance itself
-            // is deferred to the finalize, because later live events
-            // overwrite it anyway.
+        if self.mode == ExecMode::Representing {
             let code = self
                 .pen_codes
                 .get(site as usize)
@@ -325,29 +283,19 @@ impl ExecCtx {
                     rhs: b,
                 };
             }
-            return op.eval(a, b);
         }
-        // The assignment to r happens *before* the conditional in the
-        // instrumented program, so update r first.
-        if self.mode == ExecMode::Representing {
-            let saturation = if self.site_saturation.is_empty() {
-                SiteSaturation {
-                    true_saturated: self.saturated.contains(BranchId::true_of(site)),
-                    false_saturated: self.saturated.contains(BranchId::false_of(site)),
-                }
-            } else {
-                // Retargeted (long-lived) context: one indexed load instead
-                // of two bitset probes. Sites past the table are
-                // unsaturated by construction.
-                self.site_saturation
-                    .get(site as usize)
-                    .copied()
-                    .unwrap_or_default()
-            };
-            self.r = pen(saturation, op, a, b, self.epsilon, self.r);
-        }
-
         let outcome = op.eval(a, b);
+        if self.record_coverage || self.record_trace {
+            self.record(site, op, a, b, outcome);
+        }
+        outcome
+    }
+
+    /// Records one decision in the covered set and the trace, as enabled.
+    /// Kept out of line so value-only executions, which record nothing,
+    /// inline only the pen-code gather at every conditional.
+    #[inline(never)]
+    fn record(&mut self, site: SiteId, op: Cmp, a: f64, b: f64, outcome: bool) {
         let direction = Direction::from_outcome(outcome);
         if self.record_coverage {
             self.covered.insert(BranchId { site, direction });
@@ -361,7 +309,6 @@ impl ExecCtx {
                 rhs: b,
             });
         }
-        outcome
     }
 
     /// Instrumented conditional over `i64` operands.
@@ -423,38 +370,20 @@ impl ExecCtx {
     /// The current value of the injected accumulator `r`.
     ///
     /// For a representing-mode context this is `FOO_R(x)` once the program
-    /// has finished executing on `x`; for an observe-mode context it stays
-    /// at its initial value `1`. On a [`deferred_pen`](Self::deferred_pen)
-    /// context the value is resolved from the pending event (one `distance`
-    /// call) — bit-identical to what the eager accumulation computes.
+    /// has finished executing on `x`, resolved from the pending event with
+    /// one `distance` call; for an observe-mode context it stays at its
+    /// initial value `1`.
     pub fn representing_value(&self) -> f64 {
-        if self.defer_pen {
-            self.pending.resolve(self.epsilon)
-        } else {
-            self.r
+        match self.mode {
+            ExecMode::Observe => 1.0,
+            ExecMode::Representing => self.pending.resolve(self.epsilon),
         }
     }
 
-    /// The pending last live event of a deferred-penalty execution; used by
+    /// The pending last live event of a representing execution; used by
     /// the lane backend to harvest one lane into its SoA buffers.
     pub(crate) fn pending_pen(&self) -> PendingPen {
         self.pending
-    }
-
-    /// Rebuilds the per-site pen-code table of the deferred mode from the
-    /// current saturation snapshot.
-    fn rebuild_pen_codes(&mut self) {
-        self.pen_codes.clear();
-        if let Some(max_site) = self.saturated.iter().map(|b| b.site).max() {
-            self.pen_codes.resize(max_site as usize + 1, pen_code::OPEN);
-            for branch in self.saturated.iter() {
-                let entry = &mut self.pen_codes[branch.site as usize];
-                *entry |= match branch.direction {
-                    Direction::True => pen_code::TRUE_SATURATED,
-                    Direction::False => pen_code::FALSE_SATURATED,
-                };
-            }
-        }
     }
 
     /// Branches covered by this execution (empty if coverage recording is
@@ -472,27 +401,12 @@ impl ExecCtx {
     /// Replaces the saturation snapshot while keeping the mode, `ε` and the
     /// recording flags. Together with [`reset`](Self::reset) this lets one
     /// long-lived context serve every round of a search: the snapshot is
-    /// swapped (one clone per *round*) instead of a fresh context being
-    /// built per *evaluation*. Retargeting also indexes the snapshot into
-    /// the per-site saturation table consulted by [`branch`](Self::branch)
-    /// — an O(sites) cost paid once per round that removes two bitset
-    /// probes from every conditional of every subsequent execution.
+    /// swapped (one clone and one O(sites) pen-code table rebuild per
+    /// *round*) instead of a fresh context being built per *evaluation*.
     pub fn retarget(&mut self, saturated: BranchSet) {
         self.saturated = saturated;
-        self.site_saturation.clear();
-        if let Some(max_site) = self.saturated.iter().map(|b| b.site).max() {
-            self.site_saturation
-                .resize(max_site as usize + 1, SiteSaturation::default());
-            for branch in self.saturated.iter() {
-                let entry = &mut self.site_saturation[branch.site as usize];
-                match branch.direction {
-                    Direction::True => entry.true_saturated = true,
-                    Direction::False => entry.false_saturated = true,
-                }
-            }
-        }
-        if self.defer_pen {
-            self.rebuild_pen_codes();
+        if self.mode == ExecMode::Representing {
+            self.pen_codes = pen_code_table(&self.saturated);
         }
     }
 
@@ -501,9 +415,11 @@ impl ExecCtx {
         &self.trace
     }
 
-    /// Consumes the context, returning the covered set and the trace.
+    /// Consumes the context, returning the covered set, the trace and the
+    /// representing value.
     pub fn into_parts(self) -> (BranchSet, Trace, f64) {
-        (self.covered, self.trace, self.r)
+        let value = self.representing_value();
+        (self.covered, self.trace, value)
     }
 
     /// Resets the per-execution state (covered set, trace, `r`) while
@@ -511,17 +427,8 @@ impl ExecCtx {
     /// reuse one allocation across many executions.
     #[inline]
     pub fn reset(&mut self) {
-        if self.defer_pen {
-            // A deferred context records neither coverage nor trace and
-            // never folds `r`; only the pending event and the run outcome
-            // carry state.
-            self.pending = PendingPen::IDLE;
-            self.outcome = RunOutcome::Done;
-            return;
-        }
         self.covered.clear();
         self.trace.clear();
-        self.r = 1.0;
         self.pending = PendingPen::IDLE;
         self.outcome = RunOutcome::Done;
     }
@@ -600,6 +507,32 @@ mod tests {
             let mut ctx = ExecCtx::representing(saturated.clone());
             run_foo(&mut ctx, x);
             assert_eq!(ctx.representing_value(), 1.0, "x = {x}");
+        }
+    }
+
+    #[test]
+    fn representing_value_matches_the_eager_fold() {
+        let snapshots: Vec<BranchSet> = vec![
+            BranchSet::new(),
+            [BranchId::false_of(1)].into_iter().collect(),
+            [BranchId::true_of(0), BranchId::false_of(1)]
+                .into_iter()
+                .collect(),
+            [BranchId::true_of(1), BranchId::false_of(1)]
+                .into_iter()
+                .collect(),
+        ];
+        for saturated in snapshots {
+            for x in [-0.5, 0.0, -0.0, 0.7, 2.0, 5e-324, f64::INFINITY, f64::NAN] {
+                let mut ctx = ExecCtx::representing(saturated.clone());
+                run_foo(&mut ctx, x);
+                let eager = crate::pen::eager_value(ctx.trace(), &saturated, DEFAULT_EPSILON);
+                assert_eq!(
+                    ctx.representing_value().to_bits(),
+                    eager.to_bits(),
+                    "x = {x}, snapshot {saturated:?}"
+                );
+            }
         }
     }
 
@@ -709,12 +642,14 @@ mod tests {
         assert_eq!(ctx.run_outcome(), RunOutcome::Done);
         ctx.mark_trap();
         assert_eq!(ctx.run_outcome(), RunOutcome::Trap);
-        // Deferred contexts reset the outcome too (early-return branch).
-        let mut deferred = ExecCtx::representing(BranchSet::new()).deferred_pen();
-        deferred.mark_timeout();
-        assert_eq!(deferred.run_outcome(), RunOutcome::Timeout);
-        deferred.reset();
-        assert_eq!(deferred.run_outcome(), RunOutcome::Done);
+        // Value-only contexts reset the outcome too.
+        let mut fast = ExecCtx::representing(BranchSet::new())
+            .without_trace()
+            .without_coverage();
+        fast.mark_timeout();
+        assert_eq!(fast.run_outcome(), RunOutcome::Timeout);
+        fast.reset();
+        assert_eq!(fast.run_outcome(), RunOutcome::Done);
     }
 
     #[test]

@@ -10,17 +10,14 @@
 //! instrumentation itself, split into two phases:
 //!
 //! 1. **record** — each lane executes the program once through a shared
-//!    deferred-penalty [`ExecCtx`] ([`ExecCtx::deferred_pen`]). Per
-//!    conditional, the injected `r = pen(...)` assignment collapses to a
-//!    single *gather* into a per-site pen-code table plus a mask-style
-//!    overwrite of the lane's pending-event slot — no distance arithmetic,
-//!    no coverage or trace bookkeeping. This exploits the algebra of
-//!    Definition 4.2: `pen` either overwrites `r` with a value that does
-//!    not depend on the previous `r`, or keeps `r`; so the final `r` is a
-//!    function of the **last** event at a not-fully-saturated site alone,
-//!    and every earlier distance computation is dead work. Per-lane
-//!    divergence costs nothing here — lanes that branch differently simply
-//!    record different pending events;
+//!    value-only representing [`ExecCtx`] (no coverage, no trace). Per
+//!    conditional, the injected `r = pen(...)` assignment is the context's
+//!    deferred penalty: a single *gather* into a per-site pen-code table
+//!    plus an overwrite of the pending-event slot, with no distance
+//!    arithmetic (see [`crate::context`] for why only the **last** event
+//!    at a not-fully-saturated site matters). Per-lane divergence costs
+//!    nothing here — lanes that branch differently simply record different
+//!    pending events;
 //! 2. **finalize** — the harvested pending events sit in structure-of-array
 //!    lane buffers (`[f64; LANE_WIDTH]` operand arrays, one code byte per
 //!    lane), and the one distance per lane that actually determines the
@@ -29,20 +26,21 @@
 //!    instructions when the machine has them, the scalar reference loop
 //!    otherwise.
 //!
-//! How many lanes one finalize packs is an ISA property
-//! ([`SimdIsa::lane_width`]): 8 on the portable and SSE2 paths (the
-//! historical width), 16 under AVX2. [`LANE_WIDTH`] is the compile-time
-//! *capacity* of the SoA buffers — the maximum any ISA selects.
+//! One finalize packs [`LANE_WIDTH`] = 8 lanes on every ISA (two 256-bit
+//! vectors per operand array under AVX2, four 128-bit ones under SSE2).
+//! The width is not an ISA property: a wider chunk only makes the
+//! minimizers' speculative batches (line-search ladders) longer, and
+//! probes past the accepted step are wasted executions.
 //!
 //! Bit-exactness with the scalar path is non-negotiable and holds by
 //! construction: the finalize performs exactly the [`distance`] call
-//! (same operands, same `ε`, same operation order) the last live `pen` of
-//! an eager execution performs — the vector kernels mirror the scalar
-//! select structure operation for operation — and dropping the overwritten
-//! earlier calls cannot change the bits of the surviving one. The property
-//! suites (`lane_properties` in `coverme-core`) pin this on generated
-//! programs, snapshots, and NaN/inf inputs at every batch size and under
-//! every forced ISA.
+//! (same operands, same `ε`, same operation order) the scalar
+//! [`ExecCtx::representing_value`] resolves — the vector kernels mirror
+//! the scalar select structure operation for operation. The property
+//! suites (`lane_properties` in `coverme-core`) pin this against the eager
+//! `pen` fold ([`crate::pen::eager_value`]) on generated programs,
+//! snapshots, and NaN/inf inputs at every batch size and under every
+//! forced ISA.
 //!
 //! [`distance`]: crate::distance
 
@@ -52,15 +50,11 @@ use crate::distance::Cmp;
 use crate::program::Program;
 use crate::simd::{self, SimdIsa};
 
-/// Capacity of a [`LaneCtx`]'s SoA lane buffers: the widest lane count any
-/// [`SimdIsa`] selects (16, the AVX2 width). The *effective* number of
-/// lanes packed per lockstep finalize is [`SimdIsa::lane_width`] of the
-/// context's ISA — 8 on the portable/SSE2 paths, 16 under AVX2. Batch
-/// producers that size a candidate stream freely learn the effective width
-/// through `Objective::preferred_batch` in `coverme-optim`; fixed-size
-/// sets (a probe star, a simplex) are evaluated as-is in partially filled
-/// chunks.
-pub const LANE_WIDTH: usize = 16;
+/// Number of lanes one lockstep finalize packs, on every [`SimdIsa`]. Batch
+/// producers that size a candidate stream freely learn it through
+/// `Objective::preferred_batch` in `coverme-optim`; fixed-size sets (a
+/// probe star, a simplex) are evaluated as-is in partially filled chunks.
+pub const LANE_WIDTH: usize = 8;
 
 /// Smallest batch for which the lane path beats the scalar fast path.
 /// Below this, per-batch setup (harvest + finalize) outweighs the deferred
@@ -75,11 +69,11 @@ pub const MIN_LANE_BATCH: usize = 4;
 ///
 /// A `LaneCtx` is long-lived, like the objective engine's scalar context:
 /// [`retarget`](Self::retarget) swaps the saturation snapshot per round
-/// (one pen-code table rebuild), and recording reuses one deferred
+/// (one pen-code table rebuild), and recording reuses one value-only
 /// [`ExecCtx`] across every lane of every batch.
 #[derive(Debug, Clone)]
 pub struct LaneCtx {
-    /// The shared deferred-penalty recording context.
+    /// The shared value-only recording context.
     ctx: ExecCtx,
     /// Pen-dispatch code per recorded lane ([`pen_code`] values).
     codes: [u8; LANE_WIDTH],
@@ -93,8 +87,6 @@ pub struct LaneCtx {
     lanes: usize,
     /// The SIMD ISA the finalize dispatches to.
     isa: SimdIsa,
-    /// Effective lane count per chunk (`isa.lane_width()`, cached).
-    width: usize,
 }
 
 impl LaneCtx {
@@ -102,16 +94,16 @@ impl LaneCtx {
     /// snapshot with the default `ε`, on the process's active SIMD ISA
     /// ([`SimdIsa::active`]).
     pub fn new(saturated: BranchSet) -> LaneCtx {
-        let isa = SimdIsa::active();
         LaneCtx {
-            ctx: ExecCtx::representing(saturated).deferred_pen(),
+            ctx: ExecCtx::representing(saturated)
+                .without_trace()
+                .without_coverage(),
             codes: [pen_code::IDLE; LANE_WIDTH],
             ops: [Cmp::Eq; LANE_WIDTH],
             lhs: [0.0; LANE_WIDTH],
             rhs: [0.0; LANE_WIDTH],
             lanes: 0,
-            isa,
-            width: isa.lane_width(),
+            isa: SimdIsa::active(),
         }
     }
 
@@ -136,7 +128,6 @@ impl LaneCtx {
         assert!(isa.is_supported(), "SIMD ISA {isa} unsupported here");
         assert_eq!(self.lanes, 0, "ISA change with unfinalized lanes pending");
         self.isa = isa;
-        self.width = isa.lane_width();
         self
     }
 
@@ -148,12 +139,6 @@ impl LaneCtx {
     /// The SIMD ISA the finalize dispatches to.
     pub fn simd_isa(&self) -> SimdIsa {
         self.isa
-    }
-
-    /// Effective number of lanes one lockstep finalize packs
-    /// ([`SimdIsa::lane_width`] of the context's ISA).
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// The saturation snapshot the lanes evaluate against.
@@ -179,7 +164,7 @@ impl LaneCtx {
 
     /// Whether every lane slot is filled (the caller should finalize).
     pub fn is_full(&self) -> bool {
-        self.lanes == self.width
+        self.lanes == LANE_WIDTH
     }
 
     /// Whether no lane is recorded.
@@ -187,7 +172,7 @@ impl LaneCtx {
         self.lanes == 0
     }
 
-    /// Records one lane: executes `program` on `input` through the deferred
+    /// Records one lane: executes `program` on `input` through the value-only
     /// context and harvests the surviving pending event into the lane
     /// buffers. Returns how the execution ended so a dispatcher can handle
     /// aborted runs (substitute a sentinel value, skip memoization) — the
@@ -196,9 +181,9 @@ impl LaneCtx {
     ///
     /// # Panics
     ///
-    /// Panics if all [`width`](Self::width) lanes are already filled.
+    /// Panics if all [`LANE_WIDTH`] lanes are already filled.
     pub fn record<P: Program + ?Sized>(&mut self, program: &P, input: &[f64]) -> RunOutcome {
-        assert!(self.lanes < self.width, "all lanes filled; finalize first");
+        assert!(self.lanes < LANE_WIDTH, "all lanes filled; finalize first");
         self.ctx.reset();
         program.execute(input, &mut self.ctx);
         let PendingPen { code, op, lhs, rhs } = self.ctx.pending_pen();
@@ -232,8 +217,8 @@ impl LaneCtx {
     /// chunks whose lanes agree on the pen code and comparison run the
     /// packed distance kernel over the SoA operand arrays; divergent
     /// chunks fall back to the scalar per-lane resolve. Either path
-    /// computes exactly the `distance` call the eager path would have
-    /// kept, bit for bit.
+    /// computes exactly the `distance` call the scalar resolve makes, bit
+    /// for bit.
     pub fn finalize_into(&mut self, values: &mut Vec<f64>) {
         let epsilon = self.epsilon();
         let lanes = self.lanes;
@@ -250,7 +235,7 @@ impl LaneCtx {
     }
 
     /// Evaluates `FOO_R` over a whole batch: points are packed into
-    /// [`width`](Self::width)-wide chunks, each chunk recorded lane by
+    /// [`LANE_WIDTH`]-wide chunks, each chunk recorded lane by
     /// lane and finalized in lockstep. One value per point is appended to
     /// `values` in input order; `values` is not cleared.
     ///
@@ -265,7 +250,7 @@ impl LaneCtx {
     ) {
         assert_eq!(self.lanes, 0, "eval_batch with unfinalized lanes pending");
         values.reserve(points.len());
-        for chunk in points.chunks(self.width) {
+        for chunk in points.chunks(LANE_WIDTH) {
             for point in chunk {
                 self.record(program, point);
             }
@@ -283,29 +268,30 @@ impl Default for LaneCtx {
 /// Builds the per-site `pen` dispatch table for a saturation snapshot: one
 /// [`pen_code`] byte per site, indexed by site id. Sites past the table's
 /// end are [`pen_code::OPEN`] (a lookup should default to `OPEN`, exactly
-/// like the deferred [`ExecCtx`] does).
+/// like [`ExecCtx::branch`] does).
 ///
-/// This is the table an out-of-crate lane executor gathers from per
-/// conditional; it matches the deferred context's internal table bit for
-/// bit (same `|=` accumulation, so a site saturated on both sides lands on
-/// [`pen_code::KEEP`]).
+/// This is the table a representing [`ExecCtx`] gathers from per
+/// conditional, and the one an out-of-crate lane executor uses too. A site
+/// saturated on both sides lands on [`pen_code::KEEP`] (`|=`
+/// accumulation).
 pub fn pen_code_table(saturated: &BranchSet) -> Vec<u8> {
     let mut codes = Vec::new();
-    if let Some(max_site) = saturated.iter().map(|b| b.site).max() {
-        codes.resize(max_site as usize + 1, pen_code::OPEN);
-        for branch in saturated.iter() {
-            codes[branch.site as usize] |= match branch.direction {
-                Direction::True => pen_code::TRUE_SATURATED,
-                Direction::False => pen_code::FALSE_SATURATED,
-            };
+    for branch in saturated.iter() {
+        let site = branch.site as usize;
+        if site >= codes.len() {
+            codes.resize(site + 1, pen_code::OPEN);
         }
+        codes[site] |= match branch.direction {
+            Direction::True => pen_code::TRUE_SATURATED,
+            Direction::False => pen_code::FALSE_SATURATED,
+        };
     }
     codes
 }
 
 /// Resolves one pending penalty event — the scalar counterpart of
-/// [`resolve_pen_lanes`], bit-identical to the last live `pen` of an eager
-/// execution.
+/// [`resolve_pen_lanes`], bit-identical to the last live `pen` of the
+/// eager fold.
 ///
 /// # Panics
 ///
@@ -416,6 +402,7 @@ mod tests {
     use super::*;
     use crate::branch::BranchId;
     use crate::distance::DEFAULT_EPSILON;
+    use crate::pen::eager_value;
     use crate::program::FnProgram;
 
     /// The paper's Fig. 3 program with `square` inlined.
@@ -430,6 +417,13 @@ mod tests {
                 // target
             }
         })
+    }
+
+    /// The eager `pen` fold of one execution (the reference oracle).
+    fn eager<P: Program>(program: &P, point: &[f64], saturated: &BranchSet, epsilon: f64) -> f64 {
+        let mut observe = ExecCtx::observe();
+        program.execute(point, &mut observe);
+        eager_value(observe.trace(), saturated, epsilon)
     }
 
     fn snapshots() -> Vec<BranchSet> {
@@ -461,11 +455,9 @@ mod tests {
                 lane.eval_batch(&program, &points, &mut values);
                 assert_eq!(values.len(), points.len());
                 for (point, value) in points.iter().zip(&values) {
-                    let mut eager = ExecCtx::representing(saturated.clone());
-                    program.execute(point, &mut eager);
                     assert_eq!(
                         value.to_bits(),
-                        eager.representing_value().to_bits(),
+                        eager(&program, point, &saturated, DEFAULT_EPSILON).to_bits(),
                         "isa {isa}, snapshot {saturated:?}, point {point:?}"
                     );
                 }
@@ -477,7 +469,9 @@ mod tests {
     fn deferred_context_matches_eager_on_specials() {
         let program = paper_example();
         let saturated: BranchSet = [BranchId::false_of(1)].into_iter().collect();
-        let mut deferred = ExecCtx::representing(saturated.clone()).deferred_pen();
+        let mut fast = ExecCtx::representing(saturated.clone())
+            .without_trace()
+            .without_coverage();
         for x in [
             f64::NAN,
             f64::INFINITY,
@@ -486,13 +480,11 @@ mod tests {
             1e300,
             5e-324,
         ] {
-            deferred.reset();
-            program.execute(&[x], &mut deferred);
-            let mut eager = ExecCtx::representing(saturated.clone());
-            program.execute(&[x], &mut eager);
+            fast.reset();
+            program.execute(&[x], &mut fast);
             assert_eq!(
-                deferred.representing_value().to_bits(),
-                eager.representing_value().to_bits(),
+                fast.representing_value().to_bits(),
+                eager(&program, &[x], &saturated, DEFAULT_EPSILON).to_bits(),
                 "x = {x}"
             );
         }
@@ -534,21 +526,22 @@ mod tests {
     fn partially_filled_last_chunk_is_finalized() {
         let program = paper_example();
         let mut lane = LaneCtx::new(BranchSet::new());
-        let points: Vec<Vec<f64>> = (0..lane.width() + 3).map(|i| vec![i as f64]).collect();
+        let points: Vec<Vec<f64>> = (0..LANE_WIDTH + 3).map(|i| vec![i as f64]).collect();
         let mut values = Vec::new();
         lane.eval_batch(&program, &points, &mut values);
-        assert_eq!(values.len(), lane.width() + 3);
+        assert_eq!(values.len(), LANE_WIDTH + 3);
     }
 
     #[test]
-    fn effective_width_tracks_the_isa() {
-        let lane = LaneCtx::new(BranchSet::new());
-        assert_eq!(lane.width(), lane.simd_isa().lane_width());
-        assert!(lane.width() <= LANE_WIDTH);
+    fn every_isa_packs_the_same_width() {
         for isa in SimdIsa::supported() {
-            let lane = LaneCtx::new(BranchSet::new()).with_simd(isa);
+            let mut lane = LaneCtx::new(BranchSet::new()).with_simd(isa);
             assert_eq!(lane.simd_isa(), isa);
-            assert_eq!(lane.width(), isa.lane_width());
+            for i in 0..LANE_WIDTH {
+                assert!(!lane.is_full());
+                lane.record(&paper_example(), &[i as f64]);
+            }
+            assert!(lane.is_full(), "{isa}");
         }
     }
 
@@ -557,7 +550,7 @@ mod tests {
     fn overfilling_the_lanes_panics() {
         let program = paper_example();
         let mut lane = LaneCtx::new(BranchSet::new());
-        for i in 0..=lane.width() {
+        for i in 0..=LANE_WIDTH {
             lane.record(&program, &[i as f64]);
         }
     }
@@ -572,9 +565,8 @@ mod tests {
             let mut lane = LaneCtx::new(saturated.clone()).with_epsilon(epsilon);
             let mut values = Vec::new();
             lane.eval_batch(&program, &[vec![2.0]], &mut values);
-            let mut eager = ExecCtx::representing(saturated.clone()).with_epsilon(epsilon);
-            program.execute(&[2.0], &mut eager);
-            assert_eq!(values[0].to_bits(), eager.representing_value().to_bits());
+            let expect = eager(&program, &[2.0], &saturated, epsilon);
+            assert_eq!(values[0].to_bits(), expect.to_bits());
         }
     }
 

@@ -11,10 +11,12 @@
 //!
 //! * [`Cmp`] and [`distance`] — the branch-distance family `d_ε(op, a, b)`
 //!   of Definition 4.1,
-//! * [`pen`] — the penalty function of Definition 4.2,
+//! * [`pen`] — the penalty function of Definition 4.2, and [`eager_value`],
+//!   its literal per-conditional fold (the reference oracle),
 //! * [`BranchId`]/[`BranchSet`] — identities and sets of branches,
 //! * [`ExecCtx`] — the per-execution context that records coverage, the
-//!   taken-branch trace, and (in representing mode) the value of `r`,
+//!   taken-branch trace, and (in representing mode) the deferred value of
+//!   `r`: the last live `pen` event, resolved once when read,
 //! * [`Program`] — the trait every testable program implements,
 //! * [`CoverageMap`] — accumulated branch and block coverage, the stand-in
 //!   for Gcov in the evaluation harnesses.
@@ -69,7 +71,7 @@ pub use lane::{
     pen_code_table, resolve_pen, resolve_pen_lanes, resolve_pen_lanes_with, LaneCtx, LANE_WIDTH,
     MIN_LANE_BATCH,
 };
-pub use pen::{pen, SiteSaturation};
+pub use pen::{eager_value, pen, SiteSaturation};
 pub use program::{fingerprint_bytes, fingerprint_seed, native_fingerprint, FnProgram, Program};
 pub use simd::{SimdIsa, SIMD_ENV_VAR};
 pub use trace::{TakenBranch, Trace};

@@ -10,8 +10,16 @@
 //!   distance to the *unsaturated* side;
 //! * if **both** branches are saturated, `pen` keeps the previous value of
 //!   the global accumulator `r` (there is nothing new to gain at `l_i`).
+//!
+//! No evaluation path folds `pen` at every conditional: [`crate::ExecCtx`]
+//! keeps only the last live event and computes its one distance when the
+//! value is read (see [`crate::context`]). [`pen`] and [`eager_value`] are
+//! the literal Algorithm 1 fold, kept as the reference oracle the deferred
+//! paths are tested against.
 
+use crate::branch::{BranchId, BranchSet};
 use crate::distance::{distance, Cmp};
+use crate::trace::Trace;
 
 /// Saturation status of the two branches at one conditional site, as seen by
 /// `pen`. This is the only piece of global CoverMe state the runtime needs.
@@ -63,6 +71,22 @@ pub fn pen(
         // (c) Both saturated: keep the previous r.
         (true, true) => previous_r,
     }
+}
+
+/// The eager representing value of one execution: `r = 1`, then
+/// `r = pen(...)` folded over every decision of the execution's `trace` in
+/// order, against the saturation snapshot `saturated` (Algorithm 1 as
+/// written). Bit-identical to [`crate::ExecCtx::representing_value`] of a
+/// representing execution that took the same decisions — the property the
+/// deferred-penalty paths are tested against.
+pub fn eager_value(trace: &Trace, saturated: &BranchSet, epsilon: f64) -> f64 {
+    trace.iter().fold(1.0, |r, event| {
+        let saturation = SiteSaturation {
+            true_saturated: saturated.contains(BranchId::true_of(event.site)),
+            false_saturated: saturated.contains(BranchId::false_of(event.site)),
+        };
+        pen(saturation, event.op, event.lhs, event.rhs, epsilon, r)
+    })
 }
 
 #[cfg(test)]

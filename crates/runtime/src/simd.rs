@@ -21,7 +21,9 @@
 //! Long-lived evaluation structures ([`crate::LaneCtx`], the exec
 //! backends) snapshot the active ISA at construction and can be overridden
 //! per instance, so tests exercise every path without racing on global
-//! state.
+//! state. The ISA picks kernels only: every ISA packs the same
+//! [`LANE_WIDTH`] lanes per finalize, so batch shapes, and with them the
+//! memo cache's view of a search, do not depend on the machine.
 //!
 //! # Bit-exactness
 //!
@@ -39,6 +41,7 @@
 #![allow(unsafe_code)]
 
 use crate::distance::Cmp;
+use crate::lane::LANE_WIDTH;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -121,16 +124,11 @@ impl SimdIsa {
         SimdIsa::Portable
     }
 
-    /// The lane width the finalize packs under this ISA: how many `f64`
-    /// evaluations are resolved per lockstep chunk. Portable and SSE2 keep
-    /// the historical width of 8; AVX2 widens to 16 (four 256-bit
-    /// registers per operand array, enough to hide the select-chain
-    /// latency).
+    /// How many evaluations one lockstep finalize packs under this ISA:
+    /// [`LANE_WIDTH`] on every ISA (AVX2 resolves the 8 lanes as two
+    /// 4-wide vectors). Reports record it next to the ISA label.
     pub fn lane_width(self) -> usize {
-        match self {
-            SimdIsa::Portable | SimdIsa::Sse2 => 8,
-            SimdIsa::Avx2 => 16,
-        }
+        LANE_WIDTH
     }
 
     /// Parses [`SIMD_ENV_VAR`]. `Ok(None)` when unset or empty; an error
@@ -599,10 +597,10 @@ mod tests {
         assert!(SimdIsa::Portable.is_supported());
         assert!(SimdIsa::detect().is_supported());
         assert!(SimdIsa::supported().contains(&SimdIsa::Portable));
-        // Widths: the AVX2 finalize packs twice the historical width.
-        assert_eq!(SimdIsa::Portable.lane_width(), 8);
-        assert_eq!(SimdIsa::Sse2.lane_width(), 8);
-        assert_eq!(SimdIsa::Avx2.lane_width(), 16);
+        // One lane width on every ISA.
+        for isa in SimdIsa::ALL {
+            assert_eq!(isa.lane_width(), 8, "{isa}");
+        }
     }
 
     #[test]

@@ -254,8 +254,8 @@ pub fn serve(listener: TcpListener, options: ServeOptions) -> io::Result<()> {
 
     std::thread::scope(|scope| {
         loop {
-            let (stream, _) = match listener.accept() {
-                Ok(accepted) => accepted,
+            let stream = match accept_client(&listener) {
+                Ok(stream) => stream,
                 Err(error) if error.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => break,
             };
@@ -275,6 +275,25 @@ pub fn serve(listener: TcpListener, options: ServeOptions) -> io::Result<()> {
     });
     println!("coverme: shutdown complete");
     Ok(())
+}
+
+/// Accepts one connection with Nagle's algorithm off. Every event is a
+/// short line; with Nagle on, a small write that follows an unacknowledged
+/// one waits for the peer's delayed ACK (about 40 ms on Linux), which
+/// would dominate the round trip of short jobs.
+fn accept_client(listener: &TcpListener) -> io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    // Best effort: a socket that refuses the option still works, only
+    // slower, and must not stop the accept loop.
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
+
+/// Connects to a daemon with Nagle's algorithm off (see [`accept_client`]).
+fn connect_client(addr: &str) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 fn handle_connection(server: &Server, stream: TcpStream) {
@@ -806,7 +825,7 @@ pub fn submit_job(
     request: &str,
     mut on_event: impl FnMut(&JsonValue),
 ) -> io::Result<Result<Option<String>, String>> {
-    let stream = TcpStream::connect(addr)?;
+    let stream = connect_client(addr)?;
     let mut writer = stream.try_clone()?;
     writer.write_all(request.as_bytes())?;
     if !request.ends_with('\n') {
@@ -876,6 +895,17 @@ mod tests {
             read_frame(&mut oversized).unwrap(),
             Frame::Oversized
         ));
+    }
+
+    #[test]
+    fn both_ends_of_a_connection_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let client = std::thread::spawn(move || connect_client(&addr).unwrap());
+        let server_side = accept_client(&listener).unwrap();
+        let client_side = client.join().unwrap();
+        assert!(server_side.nodelay().unwrap());
+        assert!(client_side.nodelay().unwrap());
     }
 
     #[test]

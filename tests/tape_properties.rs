@@ -129,12 +129,12 @@ fn tape_engine_matches_interp_engine_bitwise() {
     let mut aborted = 0u64;
     for seed in 0..PROGRAMS {
         let num_sites = compile_seed(seed).num_sites();
-        let mut tape_engine = ObjectiveEngine::new(compile_seed(seed), 1.0)
-            .cache_mode(CacheMode::Off)
-            .backend_mode(BackendMode::Tape);
-        let mut interp_engine = ObjectiveEngine::new(compile_seed(seed), 1.0)
-            .cache_mode(CacheMode::Off)
-            .backend_mode(BackendMode::Interp);
+        let mut tape_engine =
+            ObjectiveEngine::with_backend_mode(compile_seed(seed), 1.0, BackendMode::Tape)
+                .cache_mode(CacheMode::Off);
+        let mut interp_engine =
+            ObjectiveEngine::with_backend_mode(compile_seed(seed), 1.0, BackendMode::Interp)
+                .cache_mode(CacheMode::Off);
         assert_eq!(tape_engine.backend_name(), "tape", "seed {seed}");
         assert_eq!(interp_engine.backend_name(), "interp", "seed {seed}");
         let arity = tape_engine.arity();
@@ -203,9 +203,8 @@ fn every_simd_isa_agrees_on_the_generated_corpus() {
             .map(|&isa| {
                 (
                     isa,
-                    ObjectiveEngine::new(compile_seed(seed), 1.0)
+                    ObjectiveEngine::with_backend_mode(compile_seed(seed), 1.0, BackendMode::Tape)
                         .cache_mode(CacheMode::Off)
-                        .backend_mode(BackendMode::Tape)
                         .simd(isa),
                 )
             })
@@ -278,12 +277,12 @@ fn tape_is_cache_transparent() {
     // above the backend and must stay invisible under both.
     let mut total_hits = 0u64;
     for seed in 0..PROGRAMS {
-        let mut cached = ObjectiveEngine::new(compile_seed(seed), 1.0)
-            .cache_mode(CacheMode::On)
-            .backend_mode(BackendMode::Tape);
-        let mut bare = ObjectiveEngine::new(compile_seed(seed), 1.0)
-            .cache_mode(CacheMode::Off)
-            .backend_mode(BackendMode::Interp);
+        let mut cached =
+            ObjectiveEngine::with_backend_mode(compile_seed(seed), 1.0, BackendMode::Tape)
+                .cache_mode(CacheMode::On);
+        let mut bare =
+            ObjectiveEngine::with_backend_mode(compile_seed(seed), 1.0, BackendMode::Interp)
+                .cache_mode(CacheMode::Off);
         let arity = cached.arity();
         let mut rng = Rng(seed ^ 0xCAC4E);
         let mut points: Vec<Vec<f64>> = (0..5).map(|_| rng.point(arity)).collect();
