@@ -19,11 +19,13 @@
 //! * **a batch entry point** — the engine speaks the
 //!   [`Objective`] protocol of `coverme-optim`, so minimizers submit whole
 //!   candidate sets (a Nelder–Mead simplex, a compass probe star, a shrink
-//!   step) through [`Objective::eval_batch`] in one call. Values are
-//!   bit-for-bit those of sequential scalar evaluation, in the same order,
-//!   at any batch size — the batch API is a throughput seam, never a
-//!   semantic one — and it is where a SIMD or parallel backend slots in
-//!   later;
+//!   step) through [`Objective::eval_batch`] in one call, which the
+//!   backend's lane path evaluates. Values are bit-for-bit those of
+//!   sequential scalar evaluation, in the same order, at any batch size —
+//!   the batch API is a throughput seam, never a semantic one. Powell's
+//!   method, the paper's default local minimizer, submits no batches: its
+//!   line searches are sequential and evaluate one probe at a time through
+//!   the scalar fast path;
 //! * **bit-exact memoization** — a direct-mapped memo table keyed on the
 //!   input's [`f64::to_bits`] patterns. Programs under test are
 //!   deterministic functions of their input bits (a [`Program`] contract),

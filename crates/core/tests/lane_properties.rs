@@ -35,8 +35,8 @@ use proptest::prelude::*;
 
 use coverme::objective::{ObjectiveEngine, ABORTED_VALUE};
 use coverme::{
-    BackendMode, BranchId, BranchSet, Cmp, CoverMe, CoverMeConfig, ExecCtx, FnProgram, Objective,
-    Program, RepresentingFunction,
+    BackendMode, BranchId, BranchSet, Cmp, CoverMe, CoverMeConfig, ExecCtx, FnProgram, LocalMethod,
+    Objective, Program, RepresentingFunction,
 };
 use coverme_fpir::{compile, generate_source, IrProgram, ENTRY_NAME};
 use coverme_runtime::{eager_value, LaneCtx, SimdIsa, Trace, DEFAULT_EPSILON, LANE_WIDTH};
@@ -637,14 +637,24 @@ fn search_counts<P: Program>(program: &P, config: &CoverMeConfig, isa: SimdIsa) 
 /// ISA. Lane width decides which duplicate points of a batch share one
 /// lane group and so miss the cache; one width on every ISA keeps that
 /// identical.
+///
+/// Both searches use compass search: Powell's line searches evaluate one
+/// probe at a time and send no batches, while compass submits its whole
+/// probe star (2 dimensions × 2 signs × depth 2 = 8 points for `pow` at
+/// the 8-lane hint), never fewer than the engine's `MIN_LANE_BATCH` of 4,
+/// so every sweep takes the lane path.
 #[test]
 fn searches_report_identical_telemetry_under_every_isa() {
     let pow = coverme_fdlibm::by_name("pow").expect("pow is in the suite");
-    let pow_config = CoverMeConfig::new().n_start(40).seed(9);
+    let pow_config = CoverMeConfig::new()
+        .n_start(40)
+        .seed(9)
+        .local_method(LocalMethod::Compass);
     let fpir = compile_generated(11);
     let fpir_config = CoverMeConfig::new()
         .n_start(40)
         .seed(9)
+        .local_method(LocalMethod::Compass)
         .backend(BackendMode::Tape);
     let pow_reference = search_counts(&pow, &pow_config, SimdIsa::Portable);
     let fpir_reference = search_counts(&fpir, &fpir_config, SimdIsa::Portable);

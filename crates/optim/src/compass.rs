@@ -22,7 +22,7 @@
 //! sweeps for. By default the scale count is keyed off the objective's
 //! [`preferred_batch`](Objective::preferred_batch): `max(2, batch / 4)` —
 //! `2` for scalar objectives and 8-lane engines (exactly the historical
-//! default), `4` on a 16-lane AVX2 engine, so wider hardware gets a deeper
+//! default), `4` for a 16-lane objective, so a wider engine gets a deeper
 //! star instead of half-empty lanes. Set `probe_scales(1)` to recover the
 //! textbook algorithm, bit for bit, or any explicit `k` to pin the star
 //! regardless of the engine.

@@ -191,6 +191,48 @@ mod tests {
     }
 
     #[test]
+    fn powell_searches_make_no_hidden_evaluations() {
+        // An objective that advertises 8 lanes still sees Powell's line
+        // searches one probe at a time: no batch, and exactly the scalar
+        // calls the reported evaluation count names.
+        #[derive(Default)]
+        struct Counting {
+            scalar_calls: usize,
+            batch_calls: usize,
+        }
+        impl Objective for Counting {
+            fn eval_scalar(&mut self, p: &[f64]) -> f64 {
+                self.scalar_calls += 1;
+                (p[0] - 3.0).powi(2) + (p[1] + 0.5).powi(4)
+            }
+            fn eval_batch(&mut self, points: &[Vec<f64>], values: &mut Vec<f64>) {
+                self.batch_calls += 1;
+                for p in points {
+                    let v = self.eval_scalar(p);
+                    values.push(v);
+                }
+            }
+            fn preferred_batch(&self) -> usize {
+                8
+            }
+        }
+        let mut local = Counting::default();
+        let m = Powell::new().minimize_objective(&mut local, &[0.0, 0.0]);
+        assert!(m.value < 1e-6, "value {}", m.value);
+        assert_eq!(local.batch_calls, 0);
+        assert_eq!(local.scalar_calls, m.stats.evaluations);
+
+        let mut global = Counting::default();
+        let m = BasinHopping::new()
+            .local_method(LocalMethod::Powell)
+            .iterations(5)
+            .seed(7)
+            .minimize_objective(&mut global, &[0.0, 0.0]);
+        assert_eq!(global.batch_calls, 0);
+        assert_eq!(global.scalar_calls, m.stats.evaluations);
+    }
+
+    #[test]
     fn every_local_method_finds_quadratic_minimum() {
         for method in [
             LocalMethod::Powell,

@@ -14,8 +14,11 @@
 //!   evaluated in one call. Minimizers submit *unconditionally needed*
 //!   candidate sets (a Nelder–Mead starting simplex, a compass-search probe
 //!   star, a shrink step) through this seam, so an engine can amortize
-//!   per-call setup — or, in the future, vectorize — without any change to
-//!   the search logic. The default implementation simply loops over
+//!   per-call setup or vectorize without any change to the search logic.
+//!   Powell's line searches have no such set: each probe depends on the
+//!   values before it, so they evaluate one probe at a time through
+//!   [`eval_scalar`](Objective::eval_scalar), and only the probes the
+//!   search reads. The default implementation simply loops over
 //!   [`eval_scalar`](Objective::eval_scalar), which keeps plain closures
 //!   working and guarantees that **batching never changes results**: the
 //!   values produced are bit-for-bit the ones sequential evaluation yields,

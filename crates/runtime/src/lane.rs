@@ -28,9 +28,11 @@
 //!
 //! One finalize packs [`LANE_WIDTH`] = 8 lanes on every ISA (two 256-bit
 //! vectors per operand array under AVX2, four 128-bit ones under SSE2).
-//! The width is not an ISA property: a wider chunk only makes the
-//! minimizers' speculative batches (line-search ladders) longer, and
-//! probes past the accepted step are wasted executions.
+//! The width is not an ISA property: it is the `preferred_batch` hint that
+//! sizes Nelder–Mead's batched restarts and the compass probe star, so a
+//! per-ISA width would make searches take different trajectories on
+//! different machines. Batches come only from those two minimizers;
+//! Powell's line searches evaluate one probe at a time.
 //!
 //! Bit-exactness with the scalar path is non-negotiable and holds by
 //! construction: the finalize performs exactly the [`distance`] call

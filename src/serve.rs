@@ -827,10 +827,13 @@ pub fn submit_job(
 ) -> io::Result<Result<Option<String>, String>> {
     let stream = connect_client(addr)?;
     let mut writer = stream.try_clone()?;
-    writer.write_all(request.as_bytes())?;
-    if !request.ends_with('\n') {
-        writer.write_all(b"\n")?;
+    // One write per request: with Nagle off, a separate newline write would
+    // go out as a second segment.
+    let mut line = request.to_string();
+    if !line.ends_with('\n') {
+        line.push('\n');
     }
+    writer.write_all(line.as_bytes())?;
     writer.flush()?;
     let mut reader = BufReader::new(stream);
     let mut report = None;
@@ -906,6 +909,35 @@ mod tests {
         let client_side = client.join().unwrap();
         assert!(server_side.nodelay().unwrap());
         assert!(client_side.nodelay().unwrap());
+    }
+
+    #[test]
+    fn a_request_without_a_newline_still_gets_its_done_event() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let options = ServeOptions {
+            max_jobs: 1,
+            workers: 1,
+            base: CoverMeConfig::new().with_n_start(4).with_seed(9),
+            ..ServeOptions::default()
+        };
+        let server = std::thread::spawn(move || serve(listener, options));
+        let request = "{\"op\": \"campaign\", \"suite\": \"fdlibm\", \"functions\": [\"tanh\"]}";
+        assert!(!request.ends_with('\n'));
+        let mut events = Vec::new();
+        let report = submit_job(&addr, request, |event| {
+            if let Some(name) = event.get("event").and_then(JsonValue::as_str) {
+                events.push(name.to_string());
+            }
+        })
+        .unwrap()
+        .unwrap();
+        assert!(report.is_some(), "events: {events:?}");
+        assert_eq!(events.last().map(String::as_str), Some("done"));
+        submit_job(&addr, "{\"op\": \"shutdown\"}", |_| {})
+            .unwrap()
+            .unwrap();
+        server.join().unwrap().unwrap();
     }
 
     #[test]
